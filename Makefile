@@ -27,7 +27,7 @@ lint:
 # and the content plane (chunk stores and the HTTP gateway serve shared
 # payload slices to concurrent readers).
 race:
-	$(GO) test -race -timeout 600s ./internal/live/ ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
+	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
 
 # Regenerate the perf trajectory document for this PR, gating on the
 # previous PR's baseline (normalized by the calibration loop, so a slower

@@ -15,11 +15,9 @@ import (
 
 	"lifting/internal/analysis"
 	"lifting/internal/experiment"
-	"lifting/internal/msg"
 	"lifting/internal/rng"
 	"lifting/internal/runtime"
 	"lifting/internal/stats"
-	"lifting/internal/swarm"
 )
 
 // BenchmarkFig1Health regenerates Figure 1: stream health with and without
@@ -114,7 +112,7 @@ func BenchmarkChurn(b *testing.B) {
 // any scenario regressing to zero detection moves it), and oracle failures
 // (must stay 0).
 func BenchmarkMatrix(b *testing.B) {
-	// Sim only: nil Backends would pull wise-degree's live/udp rows into
+	// Sim only: nil Backends would pull wise-degree's udp row into
 	// the bench, streaming in wall-clock time and exposing the oracle
 	// metrics to machine load.
 	cfg := experiment.MatrixConfig{Quick: true, Backends: []runtime.Kind{runtime.KindSim}}
@@ -306,29 +304,4 @@ func mustPct(b *testing.B, s string) float64 {
 		s = s[:n-1]
 	}
 	return mustFloat(b, s) / 100
-}
-
-// BenchmarkSwarmGuard measures the future-work extension (§9): the TfT
-// swarm with LiFTinG guarding opportunistic unchoking. Metrics: leech
-// progress with the guard off (the cheap exploit) and on (collapsed).
-func BenchmarkSwarmGuard(b *testing.B) {
-	leeches := func(id msg.NodeID) swarm.Behavior {
-		if id >= 32 {
-			return swarm.Leech
-		}
-		return swarm.Honest
-	}
-	for i := 0; i < b.N; i++ {
-		off := swarm.DefaultConfig()
-		off.Guard.Enabled = false
-		so := swarm.New(40, off, 2, leeches)
-		so.Run(400)
-		on := swarm.DefaultConfig()
-		on.Guard.Enabled = true
-		sg := swarm.New(40, on, 2, leeches)
-		sg.Run(400)
-		isLeech := func(id msg.NodeID) bool { return id >= 32 }
-		b.ReportMetric(so.ProgressStats(isLeech).Mean, "leech-progress-unguarded")
-		b.ReportMetric(sg.ProgressStats(isLeech).Mean, "leech-progress-guarded")
-	}
 }

@@ -24,8 +24,8 @@ import (
 
 // deterministicPackages is where the byte-identical contract holds: every
 // package on the seeded path from root rng stream to emitted document. The
-// wall-clock packages — internal/live and internal/transport (real timers
-// and sockets are their job), internal/obs and internal/gateway (ops HTTP
+// wall-clock packages — internal/transport (real timers and sockets are
+// its job), internal/obs and internal/gateway (ops HTTP
 // surfaces reporting real uptime and latency), cmd and examples (drivers
 // that time and print runs for humans) — are deliberately absent.
 var deterministicPackages = lint.PackageSet{
@@ -49,7 +49,6 @@ var deterministicPackages = lint.PackageSet{
 	"lifting/internal/sim",
 	"lifting/internal/stats",
 	"lifting/internal/stream",
-	"lifting/internal/swarm",
 }
 
 // analyzers assembles the suite with this repository's configuration.

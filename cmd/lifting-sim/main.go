@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string) int {
 		quick    = fs.Bool("quick", false, "shrink paper-scale experiments for a fast pass")
 		workers  = fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		shards   = fs.Int("shards", -1, "discrete-event engine shards for eligible experiments (-1 = one per CPU, 0 = legacy serial engine; results are identical for any count >= 1)")
-		backendF = fs.String("backend", "sim", "execution backend: sim, live or udp (matrix accepts a comma list or 'all')")
+		backendF = fs.String("backend", "sim", "execution backend: sim or udp (matrix accepts a comma list or 'all')")
 		filter   = fs.String("filter", "", "matrix: run only scenarios whose name contains this substring")
 		jsonOut  = fs.Bool("json", false, "emit one structured JSON document instead of ASCII tables")
 		describe = fs.String("describe", "", "describe the named experiment and exit")

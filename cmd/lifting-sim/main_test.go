@@ -147,7 +147,14 @@ func TestRunMatrix(t *testing.T) {
 	if !strings.Contains(out, "unknown backend") {
 		t.Errorf("bad backend not explained:\n%s", out)
 	}
-	code, _, out = capture(t, context.Background(), []string{"-backend", "sim,live", "churn"})
+	code, _, out = capture(t, context.Background(), []string{"-backend", "live", "churn"})
+	if code != 2 {
+		t.Fatalf("removed live backend = %d, want 2", code)
+	}
+	if !strings.Contains(out, "want sim or udp") {
+		t.Errorf("removed backend not explained with the valid names:\n%s", out)
+	}
+	code, _, out = capture(t, context.Background(), []string{"-backend", "sim,udp", "churn"})
 	if code == 0 {
 		t.Fatal("backend list accepted for a single-backend experiment")
 	}

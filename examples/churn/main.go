@@ -12,10 +12,10 @@
 // the same entry `lifting-sim churn` dispatches — so the scenario, its
 // parameter mapping and its structured result are shared with the CLI. The
 // same wiring runs on the deterministic discrete-event engine (default) or
-// the goroutine-per-node live runtime (-backend live), through the runtime
-// seam.
+// over real UDP sockets on loopback, one per node (-backend udp), through
+// the runtime seam.
 //
-// Run with: go run ./examples/churn [-backend live]
+// Run with: go run ./examples/churn [-backend udp]
 package main
 
 import (
@@ -32,14 +32,14 @@ import (
 func main() {
 	backend := runtime.KindSim
 	for _, arg := range os.Args[1:] {
-		if arg == "-backend=live" || arg == "live" {
-			backend = runtime.KindLive
+		if arg == "-backend=udp" || arg == "udp" {
+			backend = runtime.KindUDP
 		}
 	}
 	params := experiment.DefaultParams()
 	params.Backends = []runtime.Kind{backend}
-	if backend == runtime.KindLive {
-		// The live backend runs in wall-clock time; keep the demo short.
+	if backend == runtime.KindUDP {
+		// The UDP backend runs in wall-clock time; keep the demo short.
 		params.Quick = true
 		params.N = 40
 		params.Duration = 10 * time.Second

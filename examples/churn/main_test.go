@@ -31,11 +31,11 @@ func TestChurnExampleCompletes(t *testing.T) {
 	}
 }
 
-// TestChurnExampleLiveBackend is the live-runtime smoke test: a short
-// wall-clock run must complete with the same invariants.
-func TestChurnExampleLiveBackend(t *testing.T) {
+// TestChurnExampleUDPBackend is the wall-clock smoke test: a short run over
+// real sockets must complete with the same invariants.
+func TestChurnExampleUDPBackend(t *testing.T) {
 	params := experiment.DefaultParams()
-	params.Backends = []runtime.Kind{runtime.KindLive}
+	params.Backends = []runtime.Kind{runtime.KindUDP}
 	params.Quick = true
 	params.N = 20
 	params.Duration = 3 * time.Second
@@ -44,7 +44,7 @@ func TestChurnExampleLiveBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if joined, _ := res.Metric("joined"); joined == 0 {
-		t.Fatal("live churn saw no arrivals")
+		t.Fatal("UDP churn saw no arrivals")
 	}
 }
 

@@ -3,10 +3,10 @@
 // standing duplication/reordering/clock-skew that layers onto any runtime
 // backend. The schedule is materialized up front as a Plan — a plain value
 // derived only from a Config — so the same seed produces the same faults on
-// the simulator, the live runtime and a multi-process UDP deployment, and
-// the sharded simulator stays byte-identical across shard counts (events
-// are applied from the harness timer, which runs in the engine's global
-// phase).
+// the simulator, the single-process UDP backend and a multi-process UDP
+// deployment, and the sharded simulator stays byte-identical across shard
+// counts (events are applied from the harness timer, which runs in the
+// engine's global phase).
 //
 // LiFTinG's guarantees (conf_middleware_GuerraouiHKMP10 §4–§5) are
 // statistical claims about detection under faulty conditions; this package

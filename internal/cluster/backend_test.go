@@ -20,7 +20,7 @@ import (
 )
 
 // fastOptions is a scaled-down scenario that finishes in a couple of
-// wall-clock seconds under the live backend: short gossip period, small
+// wall-clock seconds under the UDP backend: short gossip period, small
 // population.
 func fastOptions(backend runtime.Kind, n int) Options {
 	const tg = 60 * time.Millisecond
@@ -51,9 +51,8 @@ func fastOptions(backend runtime.Kind, n int) Options {
 
 // TestScenarioAgreesAcrossBackends is the acceptance check for the runtime
 // seam: one cluster-assembled freerider scenario executes under the
-// discrete-event engine, the goroutine live runtime AND the UDP socket
-// transport, and LiFTinG's verdict — freeriders score below honest nodes —
-// agrees.
+// discrete-event engine AND the UDP socket transport, and LiFTinG's
+// verdict — freeriders score below honest nodes — agrees.
 func TestScenarioAgreesAcrossBackends(t *testing.T) {
 	const (
 		n         = 24
@@ -89,7 +88,7 @@ func TestScenarioAgreesAcrossBackends(t *testing.T) {
 		return honest / float64(nh), riders / float64(nr)
 	}
 
-	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP} {
+	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindUDP} {
 		h, r := verdict(backend)
 		t.Logf("backend %v: honest mean %.2f, freerider mean %.2f", backend, h, r)
 		if r >= h {
@@ -98,11 +97,43 @@ func TestScenarioAgreesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestLiveBackendDisseminates checks the plain dissemination path through
-// the seam: a chunk injected at the source reaches everyone over the
-// goroutine runtime and the codec.
-func TestLiveBackendDisseminates(t *testing.T) {
-	opts := fastOptions(runtime.KindLive, 16)
+// TestUDPBackendDisseminates checks the plain dissemination path through
+// the seam: a chunk injected at the source reaches everyone over real
+// sockets and the codec.
+func TestUDPBackendDisseminates(t *testing.T) {
+	c := disseminateUDP(t, fastOptions(runtime.KindUDP, 16))
+	if c.Collector.SentMsgs(msg.KindAck) == 0 {
+		t.Error("no verification traffic crossed the UDP backend")
+	}
+}
+
+// TestUDPBackendDisseminatesUnderLoss runs the same stream with 5% loss on
+// every link: gossip redundancy still gets the early chunks everywhere, and
+// the drops are accounted without breaking traffic conservation.
+func TestUDPBackendDisseminatesUnderLoss(t *testing.T) {
+	opts := fastOptions(runtime.KindUDP, 12)
+	opts.NetDefaults = net.Uniform(0.05, 2*time.Millisecond)
+	c := disseminateUDP(t, opts)
+	var sent, recv, dropped uint64
+	for k := msg.Kind(1); k <= msg.KindAuditPollResp; k++ {
+		sent += c.Collector.SentMsgs(k)
+		recv += c.Collector.RecvMsgs(k)
+		dropped += c.Collector.Dropped(k)
+	}
+	if dropped == 0 {
+		t.Error("5% loss produced no recorded drops")
+	}
+	// Messages in flight when Close cancels their timers are the only ones
+	// unaccounted, so <= rather than =.
+	if recv+dropped > sent {
+		t.Errorf("conservation broke: sent %d, delivered %d + dropped %d", sent, recv, dropped)
+	}
+}
+
+// disseminateUDP streams for a second over opts and checks that every node
+// holds at least half of the chunks injected in the first 800ms.
+func disseminateUDP(t *testing.T, opts Options) *Cluster {
+	t.Helper()
 	c := New(opts)
 	c.Start()
 	c.StartStream(time.Second)
@@ -112,7 +143,6 @@ func TestLiveBackendDisseminates(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no chunks scheduled")
 	}
-	// Every node should hold most of the early chunks.
 	for id, node := range c.Nodes {
 		got := 0
 		for ch := 0; ch < total; ch++ {
@@ -121,12 +151,10 @@ func TestLiveBackendDisseminates(t *testing.T) {
 			}
 		}
 		if got*2 < total {
-			t.Errorf("node %d received %d/%d chunks over the live backend", id, got, total)
+			t.Errorf("node %d received %d/%d chunks over the UDP backend", id, got, total)
 		}
 	}
-	if c.Collector.SentMsgs(msg.KindAck) == 0 {
-		t.Error("no verification traffic crossed the live backend")
-	}
+	return c
 }
 
 // metricsFingerprint renders everything a run measures — scores (exact
@@ -273,10 +301,11 @@ func TestChurnScenario(t *testing.T) {
 	}
 }
 
-// TestChurnRunsUnderLiveBackend runs the same churn wiring on the
-// goroutine backend: joins and leaves mid-stream with real concurrency.
-func TestChurnRunsUnderLiveBackend(t *testing.T) {
-	opts := fastOptions(runtime.KindLive, 20)
+// TestChurnRunsUnderUDPBackend runs the same churn wiring on the
+// wall-clock socket backend: joins and leaves mid-stream with real
+// concurrency.
+func TestChurnRunsUnderUDPBackend(t *testing.T) {
+	opts := fastOptions(runtime.KindUDP, 20)
 	opts.BlameMode = BlameMessages
 	c := New(opts)
 	c.Start()
@@ -287,15 +316,15 @@ func TestChurnRunsUnderLiveBackend(t *testing.T) {
 	c.Close()
 
 	if _, ok := c.Joined[id]; !ok {
-		t.Fatal("join never happened under the live backend")
+		t.Fatal("join never happened under the UDP backend")
 	}
 	if _, ok := c.Departed[5]; !ok {
-		t.Fatal("leave never happened under the live backend")
+		t.Fatal("leave never happened under the UDP backend")
 	}
 	if got := c.Nodes[id].ChunkCount(); got == 0 {
-		t.Error("live churn arrival received nothing")
+		t.Error("UDP churn arrival received nothing")
 	}
 	if !c.Nodes[5].Stopped() {
-		t.Error("live departed node still running")
+		t.Error("UDP departed node still running")
 	}
 }

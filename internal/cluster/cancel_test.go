@@ -71,10 +71,6 @@ func testCancelMidStream(t *testing.T, backend runtime.Kind) {
 	waitGoroutines(t, before)
 }
 
-func TestRunContextCancelLive(t *testing.T) {
-	testCancelMidStream(t, runtime.KindLive)
-}
-
 func TestRunContextCancelUDP(t *testing.T) {
 	testCancelMidStream(t, runtime.KindUDP)
 }

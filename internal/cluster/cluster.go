@@ -5,11 +5,10 @@
 //
 // Assembly is written against the runtime.Runtime seam, so the same wiring
 // executes under the deterministic discrete-event engine (Options.Backend =
-// runtime.KindSim, the default), under the goroutine-per-node live runtime
-// (runtime.KindLive), or over real UDP sockets on loopback
-// (runtime.KindUDP, one socket per node). Scenarios — quickstart,
-// collusion, PlanetLab heterogeneity, churn — are therefore written once
-// and run on any backend. For deployments where each node is its own OS
+// runtime.KindSim, the default) or over real UDP sockets on loopback
+// (runtime.KindUDP, one socket per node, wall-clock time). Scenarios —
+// quickstart, collusion, PlanetLab heterogeneity, churn — are therefore
+// written once and run on either backend. For deployments where each node is its own OS
 // process, see NodeHost.
 package cluster
 
@@ -38,9 +37,8 @@ import (
 	"lifting/internal/stats"
 	"lifting/internal/stream"
 
-	// Execution backends register themselves with the runtime registry;
-	// importing them here makes every Options.Backend constructible.
-	_ "lifting/internal/live"
+	// The UDP backend registers itself with the runtime registry; importing
+	// it here makes every Options.Backend constructible.
 	_ "lifting/internal/transport"
 )
 
@@ -66,8 +64,7 @@ type Options struct {
 	// Seed roots all randomness.
 	Seed uint64
 	// Backend selects the execution backend: the deterministic
-	// discrete-event engine (runtime.KindSim, the zero value), the
-	// goroutine-per-node live runtime (runtime.KindLive), or the UDP
+	// discrete-event engine (runtime.KindSim, the zero value) or the UDP
 	// socket transport in single-process-many-sockets mode
 	// (runtime.KindUDP).
 	Backend runtime.Kind
@@ -122,7 +119,7 @@ type Options struct {
 	StoreCapacity int
 	// OnBlame, if non-nil, observes every blame emission (diagnostics and
 	// per-reason accounting in experiments). Only effective in direct mode.
-	// Under the live backend it is invoked concurrently from node
+	// Under the UDP backend it is invoked concurrently from node
 	// goroutines with no lock held; synchronize externally if it mutates
 	// shared state.
 	OnBlame func(target msg.NodeID, value float64, reason msg.BlameReason)
@@ -149,7 +146,7 @@ type Cluster struct {
 	// RT is the execution backend everything is wired to.
 	RT runtime.Runtime
 	// Engine and Net expose the discrete-event internals; both are nil
-	// under the live backend.
+	// under the UDP backend.
 	Engine    *sim.Engine
 	Net       *net.SimNet
 	Dir       *membership.Directory
@@ -177,7 +174,7 @@ type Cluster struct {
 	Freeriders map[msg.NodeID]bool
 
 	// mu guards the mutable maps above plus period/clients/handoffs: under
-	// the live backend churn, expulsion and ticks run on separate
+	// the UDP backend churn, expulsion and ticks run on separate
 	// goroutines. boardMu serializes all access to Board and OnBlame.
 	mu      sync.Mutex
 	boardMu sync.Mutex
@@ -739,7 +736,7 @@ func (c *Cluster) scheduleTick(p msg.Period) {
 }
 
 // tick runs one score-period advance: board clock, expulsion checks, blame
-// flushes and manager ticks. Under the live backend it runs on a harness
+// flushes and manager ticks. Under the UDP backend it runs on a harness
 // goroutine outside any node lock.
 func (c *Cluster) tick(p msg.Period) {
 	if c.Opts.OnPeriodSnapshot != nil {
@@ -877,7 +874,7 @@ func (c *Cluster) StartStream(duration time.Duration) {
 }
 
 // Run advances the cluster to the given time: virtual under the
-// discrete-event backend, wall-clock under the live one. It is
+// discrete-event backend, wall-clock under the UDP one. It is
 // RunContext with a background context — for runs nothing cancels.
 func (c *Cluster) Run(until time.Duration) { c.RT.Run(context.Background(), until) }
 
@@ -895,7 +892,7 @@ func (c *Cluster) RunContext(ctx context.Context, until time.Duration) error {
 func (c *Cluster) After(d time.Duration, fn func()) { c.RT.After(d, fn) }
 
 // Close shuts the backend down and waits for in-flight callbacks. Call it
-// before reading node state after a live run; it is a no-op under the
+// before reading node state after a UDP run; it is a no-op under the
 // discrete-event backend.
 func (c *Cluster) Close() { c.RT.Close() }
 
@@ -933,7 +930,7 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 
 // Scores returns every known node's current score: the board score in
 // direct mode, or the min-vote over manager copies in message mode. Under
-// the live backend call it after Close (or accept slightly stale reads).
+// the UDP backend call it after Close (or accept slightly stale reads).
 func (c *Cluster) Scores() map[msg.NodeID]float64 {
 	ids := c.Dir.All()
 	out := make(map[msg.NodeID]float64, len(ids))

@@ -370,7 +370,7 @@ func (h *NodeHost) ReadScores(targets []msg.NodeID) map[msg.NodeID]ScoreRead {
 	// slower means the runtime stopped scheduling our callbacks (Close
 	// dropped them), so give up rather than wait on tokens that will never
 	// come.
-	//lint:allow no-wallclock liveness deadline for the live backend's reader; sim runs resolve every read long before it fires
+	//lint:allow no-wallclock liveness deadline for the UDP backend's reader; sim runs resolve every read long before it fires
 	deadline := time.NewTimer(4*h.Opts.Gossip.Period + time.Second)
 	defer deadline.Stop()
 collect:

@@ -81,7 +81,7 @@ type Scenario struct {
 	Attack string
 	// Backends are the execution backends the scenario supports. The first
 	// entry is the Monte-Carlo backend (repetitions run there); wall-clock
-	// backends (live, udp) always run a single repetition.
+	// backends (udp) always run a single repetition.
 	Backends []runtime.Kind
 	// Detect selects the detection criterion.
 	Detect DetectMode
@@ -154,7 +154,7 @@ func Scenarios() []Scenario {
 			// the one entry that runs on every backend, so the matrix pins
 			// the cross-backend verdict agreement of the runtime seam.
 			Name: "wise-degree", Attack: "§6.3.1 ∆=(.5,.5,.5) + §5.2 ack lies",
-			Backends: []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP},
+			Backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
 			Detect:   DetectScore,
 			Oracle:   Oracle{MinDetection: 0.75, MaxFalsePositive: 0.1, MinGap: 3},
 			N:        24, Adversaries: 4, F: 6, Period: 60 * time.Millisecond,

@@ -140,7 +140,7 @@ func DefaultSoakConfig() SoakConfig {
 }
 
 // QuickSoakConfig shrinks the scenario to CI-smoke size: it must finish in
-// well under a minute per backend, wall-clock bound on live/udp. Three
+// well under a minute per backend, wall-clock bound on udp. Three
 // knobs differ from a plain shrink, all for the wall-clock backends where
 // scheduler jitter rides on top of the fault plan: the window is 25 s (a
 // marginal freerider's Total/r needs the extra periods to converge past η

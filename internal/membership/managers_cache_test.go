@@ -116,7 +116,7 @@ func TestManagersHitAllocsZero(t *testing.T) {
 }
 
 // TestManagersConcurrentWithChurn drives lookups from several goroutines
-// while the membership shifts — the shape the live and UDP backends produce.
+// while the membership shifts — the shape the UDP backend produces.
 // Run with -race to check the cache's locking.
 func TestManagersConcurrentWithChurn(t *testing.T) {
 	d := Sequential(100)

@@ -18,9 +18,9 @@ import (
 // known, so manager assignment stays stable; nodes may also join mid-run
 // (churn).
 //
-// Directory is safe for concurrent use: the live runtime samples from many
-// node goroutines while churn events mutate the view. Under the
-// single-threaded simulator the lock is uncontended.
+// Directory is safe for concurrent use: the UDP runtime and the sharded
+// engine sample from many node goroutines while churn events mutate the
+// view. Under the serial simulator the lock is uncontended.
 type Directory struct {
 	mu      sync.RWMutex
 	all     []msg.NodeID

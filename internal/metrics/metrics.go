@@ -19,7 +19,7 @@ import (
 const kindSlots = int(msg.KindAuditPollResp) + 1
 
 // numStripes spreads the per-kind counters across sender-id stripes so
-// concurrent senders (live goroutines, UDP readers, engine shards) do not
+// concurrent senders (UDP readers and timers, engine shards) do not
 // all contend on one cache line. Must be a power of two.
 const numStripes = 8
 

@@ -206,7 +206,7 @@ func TestSparseNodeIDs(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	// The live runtime records from many goroutines; readers (a /metrics
+	// The UDP runtime records from many goroutines; readers (a /metrics
 	// scrape, a snapshot) run concurrently with writers.
 	c := NewCollector()
 	m := &msg.ScoreReq{Sender: 1, Target: 2}

@@ -161,7 +161,7 @@ func BenchmarkMetricsHotPath(b *testing.B) {
 }
 
 // BenchmarkMetricsHotPathParallel exercises the striped counters from
-// concurrent goroutines, the live/udp contention shape.
+// concurrent goroutines, the udp contention shape.
 func BenchmarkMetricsHotPathParallel(b *testing.B) {
 	c := NewCollector()
 	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1000}

@@ -6,7 +6,7 @@
 //
 // Every message carries an explicit wire-size model so the simulator can
 // account bandwidth without serializing each event, and a real binary codec
-// (see codec.go) used by the live runtime and the codec tests.
+// (see codec.go) used by the UDP transport and the codec tests.
 package msg
 
 import "time"

@@ -12,7 +12,7 @@ import (
 )
 
 // The discrete-event backend lives in this package, so it registers here.
-// The live and udp backends register from their own packages.
+// The udp backend registers from internal/transport.
 func init() {
 	Register(KindSim, func(o BackendOptions) (Runtime, error) {
 		engine := sim.NewEngine()

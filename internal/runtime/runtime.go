@@ -6,11 +6,12 @@
 // Two backends implement the interface:
 //
 //   - the deterministic discrete-event pair sim.Engine + net.SimNet, wrapped
-//     by SimBackend in this package (virtual time, single-threaded,
-//     bit-reproducible — the Monte-Carlo workhorse of §6);
-//   - the goroutine-per-node live.Runtime (wall-clock time, real
-//     concurrency, messages round-tripped through the binary codec — the
-//     integration-realism backend of §7).
+//     by SimBackend in this package (virtual time; serial or sharded across
+//     goroutines, bit-reproducible, byte-identical for every shard count
+//     ≥ 1 — the Monte-Carlo workhorse of §6);
+//   - the socket-backed transport.Runtime (wall-clock time, real
+//     concurrency, one UDP socket per hosted node, every message framed
+//     through the binary codec — the deployment backend of §7).
 //
 // internal/cluster assembles gossip nodes, verifiers, reputation and
 // freerider behaviors against this interface only, so every end-to-end
@@ -34,11 +35,8 @@ type Kind int
 // Available backends. KindSim is the zero value: deterministic simulation is
 // the default everywhere.
 const (
-	// KindSim is the single-threaded discrete-event engine over virtual
-	// time.
+	// KindSim is the discrete-event engine over virtual time.
 	KindSim Kind = iota
-	// KindLive is the goroutine-per-node runtime over wall-clock time.
-	KindLive
 	// KindUDP is the socket-backed runtime in internal/transport: one UDP
 	// socket per locally hosted node, messages framed through the binary
 	// codec, wall-clock time. It is the deployment backend — a scenario
@@ -51,8 +49,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindSim:
 		return "sim"
-	case KindLive:
-		return "live"
 	case KindUDP:
 		return "udp"
 	default:
@@ -80,17 +76,15 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// ParseKind maps a backend name ("sim", "live", "udp") to its Kind.
+// ParseKind maps a backend name ("sim", "udp") to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "sim":
 		return KindSim, nil
-	case "live":
-		return KindLive, nil
 	case "udp":
 		return KindUDP, nil
 	default:
-		return 0, fmt.Errorf("runtime: unknown backend %q (want sim, live or udp)", s)
+		return 0, fmt.Errorf("runtime: unknown backend %q (want sim or udp)", s)
 	}
 }
 
@@ -98,7 +92,8 @@ func ParseKind(s string) (Kind, error) {
 //
 // The concurrency contract mirrors sim.Context: all callbacks for one node
 // (message handling, timers, Exec functions) are serialized; callbacks for
-// different nodes may run concurrently under a live backend. Harness
+// different nodes may run concurrently (on engine shards, or on the UDP
+// backend's receive and timer goroutines). Harness
 // callbacks scheduled with After run outside any node's serialization.
 type Runtime interface {
 	// Context returns the execution context (clock + one-shot timers) for a
@@ -119,15 +114,18 @@ type Runtime interface {
 	// injections, churn arrivals.
 	After(d time.Duration, fn func())
 	// Exec runs fn serialized with node id's callbacks. Under the
-	// discrete-event backend it runs inline (the whole simulation is one
-	// goroutine); under a live backend it is scheduled asynchronously under
-	// the node's lock. Do not call Exec from a callback already running
-	// under a node's serialization if that could form a lock cycle.
+	// discrete-event backend it runs inline on the calling goroutine, so
+	// callers must not overlap a node event: call it between Run calls or
+	// from a harness callback (After, or a global-phase action), which a
+	// sharded engine runs with every shard parked at the window barrier.
+	// Under the UDP backend it is scheduled asynchronously under the node's
+	// lock. Do not call Exec from a callback already running under a node's
+	// serialization if that could form a lock cycle.
 	Exec(id msg.NodeID, fn func())
 	// Now returns the time elapsed since the runtime started.
 	Now() time.Duration
 	// Run advances the runtime to time until: the discrete-event backend
-	// drains its queue up to that virtual instant, the live backend blocks
+	// drains its queue up to that virtual instant, the UDP backend blocks
 	// until that much wall-clock time has elapsed. Cancelling ctx aborts the
 	// advance promptly — the discrete-event backend checks between bounded
 	// event bursts, the wall-clock backends wake from their sleep — and Run
@@ -183,8 +181,9 @@ func (s *SimBackend) SetDown(id msg.NodeID, down bool) { s.netw.SetDown(id, down
 // After implements Runtime.
 func (s *SimBackend) After(d time.Duration, fn func()) { s.engine.After(d, fn) }
 
-// Exec implements Runtime: the simulation is single-threaded, so fn runs
-// inline, preserving the exact event ordering of a direct call.
+// Exec implements Runtime: fn runs inline, preserving the exact event
+// ordering of a direct call. Harness callers run while no node event
+// executes (see Runtime.Exec), so no lock is needed.
 func (s *SimBackend) Exec(_ msg.NodeID, fn func()) { fn() }
 
 // Now implements Runtime.

@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"lifting/internal/live"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/rng"
 	"lifting/internal/runtime"
 	"lifting/internal/sim"
+	_ "lifting/internal/transport" // registers KindUDP
 )
 
 func newSimBackend() *runtime.SimBackend {
@@ -68,43 +68,35 @@ func TestSimBackendDelivery(t *testing.T) {
 	}
 }
 
-// TestLiveImplementsRuntime pins that the live runtime satisfies the seam
-// and honors the per-node Exec serialization path.
-func TestLiveImplementsRuntime(t *testing.T) {
-	var rt runtime.Runtime = live.NewRuntime(1, nil, net.Conditions{})
-	done := make(chan struct{})
-	rt.Exec(5, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("live Exec never ran")
-	}
-	rt.Close()
-}
-
 func TestKindString(t *testing.T) {
-	if runtime.KindSim.String() != "sim" || runtime.KindLive.String() != "live" || runtime.KindUDP.String() != "udp" {
-		t.Fatalf("kind names wrong: %v %v %v", runtime.KindSim, runtime.KindLive, runtime.KindUDP)
+	if runtime.KindSim.String() != "sim" || runtime.KindUDP.String() != "udp" {
+		t.Fatalf("kind names wrong: %v %v", runtime.KindSim, runtime.KindUDP)
 	}
 }
 
 func TestParseKind(t *testing.T) {
-	for _, want := range []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP} {
+	for _, want := range []runtime.Kind{runtime.KindSim, runtime.KindUDP} {
 		got, err := runtime.ParseKind(want.String())
 		if err != nil || got != want {
 			t.Errorf("ParseKind(%q) = %v, %v", want.String(), got, err)
 		}
 	}
-	if _, err := runtime.ParseKind("tcp"); err == nil {
-		t.Error("ParseKind accepted an unknown backend")
+	for _, bad := range []string{"tcp", "live"} {
+		if _, err := runtime.ParseKind(bad); err == nil {
+			t.Errorf("ParseKind accepted unknown backend %q", bad)
+		}
 	}
 }
 
 // TestRegistryBuildsBackends constructs every registered backend through the
-// registry and runs a trivial schedule on it. KindLive registers via the
-// live import above; KindSim registers in-package.
+// registry and runs a trivial schedule on it. KindUDP registers via the
+// transport import above; KindSim registers in-package.
 func TestRegistryBuildsBackends(t *testing.T) {
-	for _, k := range []runtime.Kind{runtime.KindSim, runtime.KindLive} {
+	kinds := runtime.Registered()
+	if len(kinds) != 2 || kinds[0] != runtime.KindSim || kinds[1] != runtime.KindUDP {
+		t.Fatalf("Registered() = %v, want [sim udp]", kinds)
+	}
+	for _, k := range kinds {
 		rt, err := runtime.New(k, runtime.BackendOptions{Seed: 1})
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
@@ -112,9 +104,6 @@ func TestRegistryBuildsBackends(t *testing.T) {
 		fired := make(chan struct{})
 		rt.After(time.Millisecond, func() { close(fired) })
 		rt.Run(context.Background(), 5*time.Millisecond)
-		if k == runtime.KindSim {
-			// Virtual time: the callback ran synchronously during Run.
-		}
 		select {
 		case <-fired:
 		case <-time.After(2 * time.Second):

@@ -8,8 +8,8 @@ import (
 // Timers tracks the outstanding time.AfterFunc timers of a wall-clock
 // backend so its Close can cancel callbacks that have not fired yet instead
 // of waiting out their delays. Without it, a backend that counts a callback
-// in-flight at scheduling time (the pattern both the live and the UDP
-// runtimes use to make Close a full drain) would block Close until every
+// in-flight at scheduling time (the pattern the UDP runtime uses to make
+// Close a full drain) would block Close until every
 // pre-scheduled stream injection and gossip tick has come due — minutes,
 // for a run cancelled seconds in.
 //
@@ -34,7 +34,7 @@ func (s *Timers) AfterFunc(d time.Duration, fn func()) {
 	e := &timerEntry{}
 	// The callback's first action takes the same lock, so it cannot observe
 	// e.t unassigned or its entry missing even when d is zero.
-	//lint:allow no-wallclock this type IS the wall-clock half of the backend seam; only the live/udp runtimes construct it
+	//lint:allow no-wallclock this type IS the wall-clock half of the backend seam; only the udp runtime constructs it
 	e.t = time.AfterFunc(d, func() {
 		s.mu.Lock()
 		delete(s.timers, e)

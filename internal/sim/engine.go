@@ -1,9 +1,9 @@
 // Package sim implements a deterministic discrete-event simulation engine
 // with a virtual clock. The gossip and LiFTinG protocol logic is written
 // against the small Context interface so the same node code runs both under
-// this engine (for large-scale Monte-Carlo runs, §6 of the paper) and under
-// the goroutine-based live runtime in internal/live (for integration
-// realism, §7).
+// this engine (for large-scale Monte-Carlo runs, §6 of the paper) and over
+// real UDP sockets in wall-clock time under internal/transport (the
+// deployment of §7).
 //
 // The engine has two modes:
 //

@@ -1,7 +1,7 @@
 // Package transport is the deployment backend of the runtime seam: the same
-// protocol nodes that run under the discrete-event simulator and the
-// goroutine live runtime here exchange real UDP datagrams through the binary
-// codec and the datagram framing of internal/msg.
+// protocol nodes that run under the discrete-event simulator here exchange
+// real UDP datagrams through the binary codec and the datagram framing of
+// internal/msg.
 //
 // Every locally hosted node owns one UDP socket; peers are found through an
 // address Book seeded from bootstrap specs and extended passively from
@@ -10,10 +10,9 @@
 // single node whose peers live in other OS processes or on other machines
 // (the lifting-node daemon) — the paper's PlanetLab deployment shape (§7).
 //
-// The concurrency contract matches sim.Context and the live runtime: all
-// callbacks for one node — inbound messages, timers, Exec functions — are
-// serialized under that node's lock; callbacks for different nodes run
-// concurrently.
+// The concurrency contract matches sim.Context: all callbacks for one node —
+// inbound messages, timers, Exec functions — are serialized under that
+// node's lock; callbacks for different nodes run concurrently.
 package transport
 
 import (
@@ -406,7 +405,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
 	if mode == net.Reliable {
 		// Connection-setup cost of the reliable transport, as modelled by
-		// the sim and live backends; each side scales its own half.
+		// the sim backend; each side scales its own half.
 		latency *= 3
 	}
 	copies := 1

@@ -225,7 +225,7 @@ func TestModelledLatency(t *testing.T) {
 	}
 
 	// Reliable-class traffic pays the 3x connection-setup factor on both
-	// halves of the link, as under the sim and live backends.
+	// halves of the link, as under the sim backend.
 	start = time.Now()
 	rt.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
 	waitFor(t, "reliable delayed delivery", func() bool { return sink.count() > 1 })
