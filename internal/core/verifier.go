@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"lifting/internal/gossip"
@@ -49,9 +50,11 @@ type serveCheck struct {
 	resolved bool
 }
 
-// ackExpectation tracks one serve batch: the receiver must acknowledge
-// forwarding these chunks within the ack timeout.
+// ackExpectation tracks one serve interaction — everything served against
+// one proposal period: the receiver must acknowledge forwarding these
+// chunks within the ack timeout.
 type ackExpectation struct {
+	period    msg.Period
 	chunks    []msg.ChunkID
 	satisfied bool
 }
@@ -197,9 +200,21 @@ func (v *Verifier) OnServeInvalid(server msg.NodeID, chunk msg.ChunkID) {
 
 // OnServed implements gossip.Monitor: direct cross-checking, server side.
 // The receiver must acknowledge forwarding the served chunks within the ack
-// timeout, or be blamed f (§5.2).
-func (v *Verifier) OnServed(receiver msg.NodeID, _ msg.Period, served []msg.ChunkID) {
-	exp := &ackExpectation{chunks: served}
+// timeout, or be blamed f (§5.2). A missing ack costs f once per serve
+// interaction (Table 1; the (a)-term of Equation 3), so serves answering
+// later requests against the same proposal period — loss-recovery retries
+// split one proposal into several single-chunk requests — join the open
+// expectation instead of opening one each.
+func (v *Verifier) OnServed(receiver msg.NodeID, p msg.Period, served []msg.ChunkID) {
+	for _, exp := range v.expectations[receiver] {
+		if !exp.satisfied && exp.period == p {
+			// Clip first so the append copies rather than writing into
+			// the array of the first batch's served slice.
+			exp.chunks = append(slices.Clip(exp.chunks), served...)
+			return
+		}
+	}
+	exp := &ackExpectation{period: p, chunks: served}
 	v.expectations[receiver] = append(v.expectations[receiver], exp)
 	v.ctx.After(v.cfg.AckTimeout, func() {
 		if !exp.satisfied {

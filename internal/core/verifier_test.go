@@ -138,6 +138,46 @@ func TestNoAckBlameAfterTimeout(t *testing.T) {
 	}
 }
 
+func TestNoAckBlamedOncePerProposalPeriod(t *testing.T) {
+	// A retry serve against the same proposal period joins the open
+	// expectation: one lost ack costs f once. A second proposal period is
+	// a second serve interaction and costs f again.
+	for _, tc := range []struct {
+		name    string
+		periods []msg.Period
+		want    float64
+	}{
+		{"one period", []msg.Period{1, 1}, 3},
+		{"two periods", []msg.Period{1, 2}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, testCfg(), gossip.Honest{})
+			served := []msg.ChunkID{20, 21, 22}
+			r.v.OnServed(2, tc.periods[0], served[:1])
+			r.v.OnServed(2, tc.periods[1], served[1:2])
+			r.eng.Run(time.Second)
+			if got := r.sink.total(msg.ReasonNoAck); got != tc.want {
+				t.Fatalf("no-ack blame = %v, want %v", got, tc.want)
+			}
+			if served[1] != 21 || served[2] != 22 {
+				t.Fatalf("OnServed wrote into the caller's slice: %v", served)
+			}
+		})
+	}
+}
+
+func TestAckCoversMergedServes(t *testing.T) {
+	// Two serves for one proposal period are acknowledged together.
+	r := newRig(t, testCfg(), gossip.Honest{})
+	r.v.OnServed(2, 1, []msg.ChunkID{20})
+	r.v.OnServed(2, 1, []msg.ChunkID{21})
+	r.v.HandleAux(2, &msg.Ack{Sender: 2, Period: 5, Chunks: []msg.ChunkID{20, 21}, Partners: []msg.NodeID{3, 4, 5}})
+	r.eng.Run(time.Second)
+	if got := r.sink.total(msg.ReasonNoAck); got != 0 {
+		t.Fatalf("no-ack blame despite covering ack: %v", got)
+	}
+}
+
 func TestAckSatisfiesExpectation(t *testing.T) {
 	r := newRig(t, testCfg(), gossip.Honest{})
 	r.v.OnServed(2, 1, []msg.ChunkID{20, 21})
