@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string) int {
 		noComp   = fs.Bool("no-compensation", false, "ablation: disable wrongful-blame compensation (fig10/fig11)")
 		quick    = fs.Bool("quick", false, "shrink paper-scale experiments for a fast pass")
 		workers  = fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		shards   = fs.Int("shards", -1, "discrete-event engine shards for eligible experiments (-1 = one per CPU, 0 = legacy serial engine; results are identical for any count >= 1)")
+		shards   = fs.Int("shards", -1, "discrete-event engine shards for experiments that run in parallel (-1 = one per CPU, 0 = one shard; results are identical for any value)")
 		backendF = fs.String("backend", "sim", "execution backend: sim or udp (matrix accepts a comma list or 'all')")
 		filter   = fs.String("filter", "", "matrix: run only scenarios whose name contains this substring")
 		jsonOut  = fs.Bool("json", false, "emit one structured JSON document instead of ASCII tables")

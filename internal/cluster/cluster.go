@@ -68,14 +68,11 @@ type Options struct {
 	// socket transport in single-process-many-sockets mode
 	// (runtime.KindUDP).
 	Backend runtime.Kind
-	// Shards partitions the discrete-event engine for eligible
-	// configurations (sim-backend LiFTinG runs in message mode with no
-	// external harness callbacks): 0 keeps the legacy serial engine, -1
-	// uses one shard per CPU, n >= 1 forces exactly n shards. Seeded
-	// results are byte-identical for every shard count >= 1 — including -1
-	// on any machine — but sharded runs legitimately differ from serial
-	// ones: the sharded network draws each node's latency and loss from a
-	// per-node random stream instead of one shared stream.
+	// Shards partitions the discrete-event engine for configurations
+	// that can run in parallel (LiFTinG in message mode with no external
+	// harness callbacks): -1 uses one shard per CPU, n >= 1 exactly n
+	// shards, 0 one shard. Every other configuration runs one shard.
+	// Seeded results are byte-identical for every value.
 	Shards int
 	// Gossip is the dissemination configuration.
 	Gossip gossip.Config
@@ -126,15 +123,15 @@ type Options struct {
 	// Chaos, if non-nil, layers a deterministic fault schedule onto the
 	// run: crash→restart cycles with manager score handoff, partitions,
 	// correlated loss bursts, standing duplication/reordering and per-node
-	// clock skew. Events apply from harness timers (the sharded engine's
-	// global phase), and the plan itself is pure data, so an eligible
-	// configuration stays shardable and byte-identical across shard
-	// counts. Keep the stream source out of the plan's candidates.
+	// clock skew. Events apply from harness timers (the engine's global
+	// phase), and the plan itself is pure data, so a configuration that
+	// runs in parallel stays byte-identical across shard counts. Keep the
+	// stream source out of the plan's candidates.
 	Chaos *chaos.Plan
 	// OnPeriodSnapshot, if non-nil, receives a deterministic metrics
 	// snapshot at the start of every score period, before the period's
-	// flushes and expulsion checks. Under the sharded engine it fires in
-	// the global phase with every shard parked at the barrier, so the
+	// flushes and expulsion checks. Under the sim backend it fires in the
+	// global phase with every shard parked at the barrier, so the
 	// counts are byte-identical across shard and worker counts; the
 	// callback receives a value copy and cannot perturb the run.
 	OnPeriodSnapshot func(p msg.Period, s metrics.Snapshot)
@@ -360,12 +357,11 @@ func New(opts Options) *Cluster {
 	}
 
 	if opts.Backend == runtime.KindSim {
-		var engine *sim.Engine
-		if s := c.shardable(); s > 0 {
-			engine = sim.NewSharded(s, opts.NetDefaults.LatencyBase)
-		} else {
-			engine = sim.NewEngine()
+		window := opts.NetDefaults.LatencyBase
+		if window <= 0 {
+			window = sim.DefaultWindow // only one shard runs then
 		}
+		engine := sim.NewSharded(c.shardCount(), window)
 		simnet := net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults)
 		c.Engine = engine
 		c.Net = simnet
@@ -502,7 +498,7 @@ func (c *Cluster) buildNode(id msg.NodeID) {
 		aux = append(aux, verifier)
 		if opts.BlameMode == BlameMessages {
 			// The expulsion callback carries the hosting manager's id: under
-			// a sharded engine it fires inside a lookahead window, and the
+			// the sim backend it fires inside a lookahead window, and the
 			// resulting membership mutation must be deferred to the global
 			// phase keyed by the node that triggered it.
 			mcfg := c.repCfg
@@ -586,17 +582,16 @@ func (c *Cluster) setAssignmentLocked(target msg.NodeID, set []msg.NodeID) {
 	}
 }
 
-// shardable returns the shard count to run the discrete-event engine with,
-// or 0 for the legacy serial engine. Sharding requires the sim backend, a
-// positive base latency (the lookahead window), and a configuration whose
-// harness stays out of the event hot path: LiFTinG in message mode (the
-// direct-mode board is a shared mutable global), no per-blame observer and
-// no per-node condition overrides.
-func (c *Cluster) shardable() int {
+// shardCount returns the number of shards to run the discrete-event engine
+// with. More than one requires a positive base latency (the lookahead
+// window) and a configuration whose harness stays out of the event hot
+// path: LiFTinG in message mode (the direct-mode board is a shared mutable
+// global), no per-blame observer and no per-node condition overrides.
+func (c *Cluster) shardCount() int {
 	o := &c.Opts
 	if o.Shards == 0 || !o.LiFTinG || o.BlameMode != BlameMessages || o.OnBlame != nil ||
 		o.ConditionsFor != nil || o.NetDefaults.LatencyBase <= 0 {
-		return 0
+		return 1
 	}
 	if o.Shards > 0 {
 		return o.Shards
@@ -604,21 +599,12 @@ func (c *Cluster) shardable() int {
 	return max(1, gort.GOMAXPROCS(0))
 }
 
-// ShardCount reports how many shards the engine runs (0 when serial or on
-// a non-sim backend).
-func (c *Cluster) ShardCount() int {
-	if c.Engine == nil {
-		return 0
-	}
-	return c.Engine.ShardCount()
-}
-
-// expelFrom expels target on behalf of owner. Inside a sharded engine
-// window the membership mutation is deferred to the global phase, keyed by
-// owner so the expulsion order is shard-count-independent; everywhere else
-// it applies immediately.
+// expelFrom expels target on behalf of owner. Inside an engine window the
+// membership mutation is deferred to the global phase, keyed by owner so
+// the expulsion order is shard-count-independent; everywhere else it
+// applies immediately.
 func (c *Cluster) expelFrom(owner msg.NodeID, target msg.NodeID) {
-	if c.Engine != nil && c.Engine.Sharded() && c.Engine.InWindow() {
+	if c.Engine != nil && c.Engine.InWindow() {
 		c.Engine.DeferGlobal(int(owner), func() { c.expel(target) })
 		return
 	}
@@ -1054,7 +1040,7 @@ func (c *Cluster) leave(id msg.NodeID) {
 
 // startChaos schedules every event of the configured fault plan. All
 // scheduling happens up front, in the plan's (sorted, deterministic) order,
-// from harness timers — under the sharded engine they fire in the global
+// from harness timers — under the sim backend they fire in the global
 // phase, where membership and condition mutations are safe and
 // shard-count-invariant.
 func (c *Cluster) startChaos() {

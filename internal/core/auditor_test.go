@@ -26,7 +26,7 @@ func newAuditRig(t *testing.T, cfg Config) *auditRig {
 	t.Helper()
 	r := &auditRig{eng: sim.NewEngine(), sink: &sinkRec{}}
 	r.netw = net.NewSimNet(r.eng, rng.New(5), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
-	r.auditor = NewAuditor(0, cfg, r.eng, r.netw, rng.New(6), r.sink,
+	r.auditor = NewAuditor(0, cfg, r.eng.Domain(0), r.netw, rng.New(6), r.sink,
 		func(out AuditOutcome) { r.outcomes = append(r.outcomes, out) })
 	r.netw.Attach(0, capture{func(from msg.NodeID, m msg.Message) {
 		r.auditor.HandleAux(from, m)
@@ -36,7 +36,7 @@ func newAuditRig(t *testing.T, cfg Config) *auditRig {
 
 // attachVerifier gives node id a real Verifier over the given history.
 func (r *auditRig) attachVerifier(id msg.NodeID, hist *history.Log, behavior gossip.Behavior) *Verifier {
-	v := NewVerifier(id, auditCfg(), r.eng, r.netw, rng.New(uint64(id)), hist, behavior, nil)
+	v := NewVerifier(id, auditCfg(), r.eng.Domain(int(id)), r.netw, rng.New(uint64(id)), hist, behavior, nil)
 	r.netw.Attach(id, capture{func(from msg.NodeID, m msg.Message) {
 		v.HandleAux(from, m)
 	}})

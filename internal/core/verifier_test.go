@@ -67,7 +67,7 @@ func newRig(t *testing.T, cfg Config, behavior gossip.Behavior) *rig {
 		sent: make(map[msg.NodeID][]msg.Message),
 	}
 	r.netw = net.NewSimNet(r.eng, rng.New(7), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
-	r.v = NewVerifier(1, cfg, r.eng, r.netw, rng.New(9), r.hist, behavior, r.sink)
+	r.v = NewVerifier(1, cfg, r.eng.Domain(1), r.netw, rng.New(9), r.hist, behavior, r.sink)
 	for id := msg.NodeID(0); id < 10; id++ {
 		if id == 1 {
 			continue

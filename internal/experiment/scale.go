@@ -44,10 +44,10 @@ type ScaleConfig struct {
 	MeanLoss float64
 	Duration time.Duration
 	Seed     uint64
-	// Shards partitions the discrete-event engine (0 = serial legacy
-	// engine, −1 = one shard per CPU, n ≥ 1 = exactly n). The workload is
-	// message-mode with uniform 5 ms base latency, so it is always
-	// eligible; results are byte-identical for every shard count ≥ 1.
+	// Shards partitions the discrete-event engine (−1 = one shard per CPU,
+	// 0 = one shard, n ≥ 1 = exactly n). The workload is message-mode with
+	// uniform 5 ms base latency, so it always runs in parallel; results
+	// are byte-identical for every value.
 	Shards int
 }
 

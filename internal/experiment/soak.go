@@ -54,7 +54,7 @@ type SoakConfig struct {
 	// Shards partitions the discrete-event engine (sim backend only; same
 	// semantics as ScaleConfig.Shards).
 	Shards int
-	// Backend selects the execution backend; the soak runs on all three.
+	// Backend selects the execution backend; the soak runs on both.
 	Backend runtime.Kind
 
 	// Joins and Leaves are mid-stream arrivals/departures, spread over the

@@ -20,7 +20,7 @@ import (
 //
 // Directory is safe for concurrent use: the UDP runtime and the sharded
 // engine sample from many node goroutines while churn events mutate the
-// view. Under the serial simulator the lock is uncontended.
+// view. Under a one-shard engine the lock is uncontended.
 type Directory struct {
 	mu      sync.RWMutex
 	all     []msg.NodeID

@@ -16,25 +16,22 @@ const reliableSetupFactor = 3
 // SimNet delivers messages through the discrete-event engine. It is the
 // simulation-side implementation of Network.
 //
-// Under a serial engine all sends draw loss and jitter from one shared
-// stream, in send order — the legacy behavior, preserved bit for bit.
-// Under a sharded engine sends from different nodes run concurrently, so
-// each sender draws from its own derived stream and tracks its own uplink,
-// keyed by node id: the draw sequence then depends only on the sender's own
-// event order, which is what makes results shard-count-invariant.
+// Sends from nodes on different shards run concurrently, so each sender
+// draws loss and jitter from its own derived stream and tracks its own
+// uplink, keyed by node id: the draw sequence then depends only on the
+// sender's own event order, which is what makes results
+// shard-count-invariant.
 type SimNet struct {
 	engine    *sim.Engine
-	rand      *rng.Stream
+	rand      *rng.Stream // parent of the per-node streams
 	collector *metrics.Collector
 	handlers  map[msg.NodeID]Handler
 	conds     map[msg.NodeID]*Conditions
-	uplink    map[msg.NodeID]time.Duration // uplink busy-until, per node (serial)
 	defaults  Conditions
 
-	// Sharded-engine state. Only a node's own shard touches its slots
-	// during a window; the slices grow in Attach, which is global-phase
-	// work.
-	sharded    bool
+	// Per-node state. Only a node's own shard touches its slots during a
+	// window; the slices grow in Attach or a node's first send, which is
+	// global-phase work.
 	nodeRand   []*rng.Stream
 	nodeUplink []time.Duration
 }
@@ -52,9 +49,7 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 		collector: collector,
 		handlers:  make(map[msg.NodeID]Handler),
 		conds:     make(map[msg.NodeID]*Conditions),
-		uplink:    make(map[msg.NodeID]time.Duration),
 		defaults:  defaults,
-		sharded:   engine.Sharded(),
 	}
 }
 
@@ -65,17 +60,23 @@ func (n *SimNet) Attach(id msg.NodeID, h Handler) {
 		return
 	}
 	n.handlers[id] = h
-	if n.sharded {
-		for len(n.nodeRand) <= int(id) {
-			n.nodeRand = append(n.nodeRand, nil)
-			n.nodeUplink = append(n.nodeUplink, 0)
-		}
-		if n.nodeRand[id] == nil {
-			// Derivation hashes the parent seed with the id — independent
-			// of attach order, so churn joins stay deterministic.
-			n.nodeRand[id] = n.rand.ForNode(uint32(id))
-		}
+	n.stream(id)
+}
+
+// stream returns node id's draw stream, creating it — and the node's engine
+// domain — on first use. Derivation hashes the parent seed with the id,
+// independent of creation order, so churn joins stay deterministic.
+func (n *SimNet) stream(id msg.NodeID) *rng.Stream {
+	if int(id) < len(n.nodeRand) && n.nodeRand[id] != nil {
+		return n.nodeRand[id]
 	}
+	n.engine.Domain(int(id)) // panics inside a window: growth is global-phase work
+	for len(n.nodeRand) <= int(id) {
+		n.nodeRand = append(n.nodeRand, nil)
+		n.nodeUplink = append(n.nodeUplink, 0)
+	}
+	n.nodeRand[id] = n.rand.ForNode(uint32(id))
+	return n.nodeRand[id]
 }
 
 // SetConditions overrides the connection quality of a node.
@@ -102,9 +103,9 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 
 // Send implements Network. The message is delivered through the event queue
 // after uplink serialization and propagation delay, unless it is lost.
-// Under a sharded engine Send must be called from the sending node's own
-// callbacks (or the global phase) — the same serialization the rest of a
-// node's state already requires.
+// Send must be called from the sending node's own callbacks (or the global
+// phase) — the same serialization the rest of a node's state already
+// requires.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
 	if n.collector != nil {
@@ -116,12 +117,8 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		n.drop(m, size)
 		return
 	}
-	rand := n.rand
-	now := n.engine.Now()
-	if n.sharded {
-		rand = n.nodeRand[from]
-		now = n.engine.NodeNow(int(from))
-	}
+	rand := n.stream(from)
+	now := n.engine.NodeNow(int(from))
 	if mode == Unreliable {
 		if rand.Bernoulli(src.LossOut) || rand.Bernoulli(dst.LossIn) {
 			n.drop(m, size)
@@ -129,25 +126,12 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		}
 	}
 
-	start := now
-	var busy time.Duration
-	if n.sharded {
-		busy = n.nodeUplink[from]
-	} else {
-		busy = n.uplink[from]
-	}
-	if busy > start {
-		start = busy
-	}
+	start := max(now, n.nodeUplink[from])
 	var tx time.Duration
 	if src.UplinkBps > 0 {
 		tx = time.Duration(float64(size) / src.UplinkBps * float64(time.Second))
 	}
-	if n.sharded {
-		n.nodeUplink[from] = start + tx
-	} else {
-		n.uplink[from] = start + tx
-	}
+	n.nodeUplink[from] = start + tx
 
 	latency := src.LatencyBase/2 + dst.LatencyBase/2
 	jitter := src.LatencyJitter/2 + dst.LatencyJitter/2

@@ -11,18 +11,20 @@ import (
 	"lifting/internal/sim"
 )
 
+// capture records deliveries; with ctx set (the receiver's Domain) it also
+// records each arrival time on the receiver's clock.
 type capture struct {
 	from []msg.NodeID
 	msgs []msg.Message
 	at   []time.Duration
-	eng  *sim.Engine
+	ctx  sim.Context
 }
 
 func (c *capture) HandleMessage(from msg.NodeID, m msg.Message) {
 	c.from = append(c.from, from)
 	c.msgs = append(c.msgs, m)
-	if c.eng != nil {
-		c.at = append(c.at, c.eng.Now())
+	if c.ctx != nil {
+		c.at = append(c.at, c.ctx.Now())
 	}
 }
 
@@ -36,7 +38,7 @@ func newNet(t *testing.T, defaults Conditions) (*sim.Engine, *SimNet, *metrics.C
 
 func TestLosslessDelivery(t *testing.T) {
 	eng, n, _ := newNet(t, Uniform(0, 10*time.Millisecond))
-	rx := &capture{eng: eng}
+	rx := &capture{ctx: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 9}, Unreliable)
 	eng.RunAll()
@@ -85,7 +87,7 @@ func TestReliableNeverLoses(t *testing.T) {
 
 func TestReliableSlowerThanUnreliable(t *testing.T) {
 	eng, n, _ := newNet(t, Uniform(0, 10*time.Millisecond))
-	rx := &capture{eng: eng}
+	rx := &capture{ctx: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)
 	n.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, Reliable)
@@ -138,7 +140,7 @@ func TestUnattachedDestinationDrops(t *testing.T) {
 func TestUplinkSerialization(t *testing.T) {
 	// Two 1000-byte-ish messages over a 10 kB/s uplink must be ~0.1 s apart.
 	eng, n, _ := newNet(t, Conditions{UplinkBps: 10000, LatencyBase: 0})
-	rx := &capture{eng: eng}
+	rx := &capture{ctx: eng.Domain(2)}
 	n.Attach(2, rx)
 	big := &msg.Serve{Sender: 1, Chunk: 1}
 	big.PayloadSize = 1000 - big.WireSize()
@@ -156,7 +158,7 @@ func TestUplinkSerialization(t *testing.T) {
 
 func TestUplinkUnlimitedWhenZero(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{LatencyBase: time.Millisecond})
-	rx := &capture{eng: eng}
+	rx := &capture{ctx: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1 << 20}, Unreliable)
 	eng.RunAll()
@@ -184,7 +186,7 @@ func TestPerNodeConditionsOverride(t *testing.T) {
 
 func TestLatencyJitterRange(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{LatencyBase: 10 * time.Millisecond, LatencyJitter: 10 * time.Millisecond})
-	rx := &capture{eng: eng}
+	rx := &capture{ctx: eng.Domain(2)}
 	n.Attach(2, rx)
 	for i := 0; i < 500; i++ {
 		n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)
@@ -247,7 +249,7 @@ func TestDeterministicDelivery(t *testing.T) {
 	run := func() []time.Duration {
 		eng := sim.NewEngine()
 		n := NewSimNet(eng, rng.New(99), nil, Conditions{LatencyBase: time.Millisecond, LatencyJitter: 5 * time.Millisecond, LossIn: 0.1})
-		rx := &capture{eng: eng}
+		rx := &capture{ctx: eng.Domain(2)}
 		n.Attach(2, rx)
 		for i := 0; i < 200; i++ {
 			n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)

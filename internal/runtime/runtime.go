@@ -6,9 +6,9 @@
 // Two backends implement the interface:
 //
 //   - the deterministic discrete-event pair sim.Engine + net.SimNet, wrapped
-//     by SimBackend in this package (virtual time; serial or sharded across
-//     goroutines, bit-reproducible, byte-identical for every shard count
-//     ≥ 1 — the Monte-Carlo workhorse of §6);
+//     by SimBackend in this package (virtual time; one or more shards
+//     advancing in lookahead windows, bit-reproducible, byte-identical for
+//     every shard count — the Monte-Carlo workhorse of §6);
 //   - the socket-backed transport.Runtime (wall-clock time, real
 //     concurrency, one UDP socket per hosted node, every message framed
 //     through the binary codec — the deployment backend of §7).
@@ -116,8 +116,8 @@ type Runtime interface {
 	// Exec runs fn serialized with node id's callbacks. Under the
 	// discrete-event backend it runs inline on the calling goroutine, so
 	// callers must not overlap a node event: call it between Run calls or
-	// from a harness callback (After, or a global-phase action), which a
-	// sharded engine runs with every shard parked at the window barrier.
+	// from a harness callback (After, or a global-phase action), which the
+	// engine runs with every shard parked at the window barrier.
 	// Under the UDP backend it is scheduled asynchronously under the node's
 	// lock. Do not call Exec from a callback already running under a node's
 	// serialization if that could form a lock cycle.
@@ -153,17 +153,8 @@ func NewSim(engine *sim.Engine, netw *net.SimNet) *SimBackend {
 	return &SimBackend{engine: engine, netw: netw}
 }
 
-// Engine exposes the underlying discrete-event engine (event-queue
-// inspection, direct scheduling in tests).
-func (s *SimBackend) Engine() *sim.Engine { return s.engine }
-
-// SimNet exposes the underlying simulated network.
-func (s *SimBackend) SimNet() *net.SimNet { return s.netw }
-
-// Context implements Runtime: under a serial engine every node shares the
-// engine (the whole run is one goroutine); under a sharded engine each node
-// gets its shard-bound domain, which serializes that node's callbacks on
-// its shard.
+// Context implements Runtime: each node gets its shard-bound domain, which
+// serializes that node's callbacks on its shard.
 func (s *SimBackend) Context(id msg.NodeID) sim.Context { return s.engine.Domain(int(id)) }
 
 // Attach implements Runtime.
@@ -197,9 +188,9 @@ const runChunkEvents = 8192
 
 // Run implements Runtime: events execute in exactly the order of an
 // uninterrupted engine.Run, with a cancellation check between bounded
-// bursts. RunChunk returning 0 is the done signal for both engine modes —
-// the sharded engine advances in whole lookahead windows, so a burst may
-// overshoot the chunk size but never reports 0 while work remains.
+// bursts. RunChunk returning 0 is the done signal — the engine advances in
+// whole lookahead windows, so a burst may overshoot the chunk size but
+// never reports 0 while work remains.
 func (s *SimBackend) Run(ctx context.Context, until time.Duration) error {
 	for {
 		if err := ctx.Err(); err != nil {

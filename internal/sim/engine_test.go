@@ -123,21 +123,24 @@ func TestAtAbsolute(t *testing.T) {
 	}
 }
 
-func TestStepAndCounters(t *testing.T) {
+func TestRunChunkAndCounters(t *testing.T) {
 	e := NewEngine()
 	e.After(time.Millisecond, func() {})
 	e.After(2*time.Millisecond, func() {})
-	if !e.Step() {
-		t.Fatal("Step with pending events returned false")
+	if n := e.RunChunk(time.Second, 1); n != 1 {
+		t.Fatalf("RunChunk with budget 1 ran %d events, want 1", n)
 	}
-	if e.Events() != 1 {
-		t.Fatalf("Events = %d, want 1", e.Events())
+	if e.Events() != 1 || e.Pending() != 1 {
+		t.Fatalf("Events = %d, Pending = %d, want 1 and 1", e.Events(), e.Pending())
 	}
-	if !e.Step() {
-		t.Fatal("second Step returned false")
+	if n := e.RunChunk(time.Second, 1); n != 1 {
+		t.Fatalf("second RunChunk ran %d events, want 1", n)
 	}
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
+	if n := e.RunChunk(time.Second, 1); n != 0 {
+		t.Fatalf("RunChunk on an empty queue ran %d events", n)
+	}
+	if e.Events() != 2 || e.Now() != time.Second {
+		t.Fatalf("Events = %d, Now = %v, want 2 and 1s", e.Events(), e.Now())
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// runSharded advances the sharded engine toward until, executing at least
+// run advances the engine toward until, executing at least
 // min(max, everything due) events, in lockstep lookahead windows:
 //
 //  1. Global phase: with every shard parked at the barrier time T, drain
@@ -29,7 +29,7 @@ import (
 // The return value is the number of events executed; 0 means the advance
 // to until was already complete. The event budget max is checked at window
 // granularity, so a call may overshoot it by one window's events.
-func (e *Engine) runSharded(until time.Duration, max uint64) uint64 {
+func (e *Engine) run(until time.Duration, max uint64) uint64 {
 	var executed uint64
 	for {
 		// Global phase at T = e.now.
@@ -37,7 +37,10 @@ func (e *Engine) runSharded(until time.Duration, max uint64) uint64 {
 			ev := e.gq.pop()
 			e.gevents++
 			executed++
-			ev.fn()
+			e.last = ev.at
+			fn := ev.fn
+			e.gpool.release(ev)
+			fn()
 		}
 		nextG := time.Duration(1<<63 - 1)
 		if e.gq.len() > 0 {
@@ -140,6 +143,9 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 	var after uint64
 	for _, sh := range e.shards {
 		after += sh.events
+		// A shard that ran nothing sits at the window start, which no
+		// event of the window precedes.
+		e.last = max(e.last, sh.now)
 	}
 	return after - before
 }

@@ -129,8 +129,8 @@ func TestShardedRunChunkEquivalence(t *testing.T) {
 }
 
 // Run(until) executes events at ≤ until (inclusive boundary), leaves later
-// events queued, and parks every clock exactly at until — matching the
-// serial engine's contract.
+// events queued, and parks every clock exactly at until, on more than one
+// shard too.
 func TestShardedRunUntilBoundary(t *testing.T) {
 	e := NewSharded(2, twin)
 	ran := map[int]bool{}
@@ -199,7 +199,7 @@ func TestDeferGlobal(t *testing.T) {
 	}
 }
 
-// After from inside a node callback panics under a sharded engine: harness
+// After from inside a node callback panics, at any shard count: harness
 // scheduling with a global sequence would make event order depend on the
 // shard layout.
 func TestShardedAfterPanicsInWindow(t *testing.T) {
@@ -251,8 +251,9 @@ type countSink struct{ n int }
 
 func (c *countSink) Deliver(from, to int32, payload any, size int32) { c.n++ }
 
-// BenchmarkEngineDrain measures the serial scheduling hot path: pooled
-// event, heap push/pop, callback dispatch. ns/op is ns/event.
+// BenchmarkEngineDrain measures the harness scheduling hot path: pooled
+// global event, heap push/pop, barrier hop, callback dispatch. ns/op is
+// ns/event.
 func BenchmarkEngineDrain(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -269,7 +270,7 @@ func BenchmarkEngineDrain(b *testing.B) {
 	e.RunAll()
 }
 
-// BenchmarkEngineSharded measures the sharded delivery path end to end —
+// BenchmarkEngineSharded measures the node delivery path end to end —
 // pooled events through a Sink, window barriers, outbox merges — with a
 // constant population of in-flight messages ring-forwarded across 64 nodes.
 // ns/op is ns/event (the run is capped at b.N events, ±one window).
